@@ -5,6 +5,7 @@ sample, preprocess, synth, train, classify, report.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -183,6 +184,8 @@ def cmd_train(args) -> int:
     tcfg = nn.TrainConfig(cfg.eta0, cfg.decay, cfg.epochs, cfg.seed)
     out = Path(cfg.out)
     report = harness.train(net, train_set, valid_set, tcfg, out_dir=out / "net")
+    if not out.is_absolute():  # relative to the run dir, so classify works from any cwd
+        report.checkpoints = {e: os.path.relpath(p, out) for e, p in report.checkpoints.items()}
     (out / "train_report.json").write_text(report.to_json())
     harness.emit_curves(report, out)
     (out / "run.conf").write_text(arch.serialize_config(cfg))
@@ -204,18 +207,21 @@ def cmd_classify(args) -> int:
         if not report_path.exists():
             raise SystemExit("error: classify needs --checkpoint or a prior train run in the out dir")
         report = harness.TrainReport.from_json(report_path.read_text())
-        checkpoint = report.checkpoints[report.best_epoch]
+        if report.best_epoch not in report.checkpoints:
+            raise ValueError(f"{report_path}: no checkpoint for best epoch {report.best_epoch}")
+        checkpoint = Path(cfg.out) / report.checkpoints[report.best_epoch]
+        if not checkpoint.exists():  # older reports hold paths relative to the training cwd
+            checkpoint = Path(report.checkpoints[report.best_epoch])
     try:
         nn.load_checkpoint(net, checkpoint)
     except FileNotFoundError:
         raise SystemExit(f"error: checkpoint {checkpoint} not found")
     test_set = _load_split(cfg, "test")
-    match_text, mismatch_text = harness.classify(net, test_set)
+    match_text, mismatch_text, cm = harness.classify(net, test_set)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "classify_match").write_text(match_text)
     (out / "classify_mismatch").write_text(mismatch_text)
-    cm = harness.evaluate(net, test_set)
     rates = cm.class_rates
     print(
         f"classify: {cm.total} objects, success rate {cm.overall_rate:.4f} "

@@ -188,8 +188,8 @@ def train(
     return report
 
 
-def classify(net: nn.Network, samples: list[LabeledSample]) -> tuple[str, str]:
-    """Match and mismatch listings.
+def classify(net: nn.Network, samples: list[LabeledSample]) -> tuple[str, str, ConfusionMatrix]:
+    """Match and mismatch listings, and the confusion matrix of those predictions.
 
     Mismatch rows: 'PLATE\\tMJD\\tFIBERID\\tcatalog: <class>\\tconvnet: <class>';
     match rows omit the convnet column. Both listings end with a summary
@@ -197,22 +197,21 @@ def classify(net: nn.Network, samples: list[LabeledSample]) -> tuple[str, str]:
     """
     header = "#PLATE\tMJD\tFIBERID"
     match_rows, mismatch_rows = [header], [header]
-    n_match = 0
+    cm = ConfusionMatrix(np.zeros((3, 3), dtype=int))
     for s in samples:
         predicted = predict(net, s)
+        cm.counts[int(s.label), int(predicted)] += 1
         p, m, f = s.ident
         if predicted == s.label:
-            n_match += 1
             match_rows.append(f"{p}\t{m}\t{f}\tcatalog: {s.label.label}")
         else:
             mismatch_rows.append(
                 f"{p}\t{m}\t{f}\tcatalog: {s.label.label}\tconvnet: {predicted.label}"
             )
-    rate = n_match / len(samples) if samples else 0.0
-    summary = f"# success rate: {rate:.4f}"
+    summary = f"# success rate: {cm.overall_rate:.4f}"
     match_rows.append(summary)
     mismatch_rows.append(summary)
-    return "\n".join(match_rows) + "\n", "\n".join(mismatch_rows) + "\n"
+    return "\n".join(match_rows) + "\n", "\n".join(mismatch_rows) + "\n", cm
 
 
 def emit_curves(report: TrainReport, out_dir: str | Path) -> tuple[Path, Path]:

@@ -79,19 +79,23 @@ class Conv(Layer):
         if not mask.any(axis=1).all():
             raise ValueError("every output map needs at least one connection")
         self.mask = mask
+        self._full = bool(mask.all())
         self.params = {
             "kernels": np.zeros((n_out, n_in, kh, kw)),
             "biases": np.zeros(n_out),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
+    def _masked(self, k: np.ndarray) -> np.ndarray:
+        # zero the disconnected (i, j) entries; a full table has none
+        return k if self._full else k * self.mask[:, :, None, None]
+
     def init_params(self, rng):
         fan_in = self.mask.sum(axis=1) * self.kh * self.kw  # per output map
         k = np.empty((self.n_out, self.n_in, self.kh, self.kw))
         for j in range(self.n_out):
             k[j] = _uniform_init(rng, (self.n_in, self.kh, self.kw), int(fan_in[j]))
-        k *= self.mask[:, :, None, None]
-        self.params["kernels"][...] = k
+        self.params["kernels"][...] = self._masked(k)
         self.params["biases"][...] = 0.0
 
     def out_shape(self, in_shape):
@@ -105,7 +109,7 @@ class Conv(Layer):
     def forward(self, x):
         oshape = self.out_shape(x.shape)
         self._x = x
-        k = self.params["kernels"] * self.mask[:, :, None, None]
+        k = self._masked(self.params["kernels"])
         if oshape[1:] == (1, 1):
             # kernel covers the whole map: a single dot product per output
             y = np.einsum("jipq,ipq->j", k, x)[:, None, None]
@@ -116,14 +120,13 @@ class Conv(Layer):
 
     def backward(self, dy):
         self.grads["biases"] += dy.sum(axis=(1, 2))
-        mask4 = self.mask[:, :, None, None]
-        k = self.params["kernels"] * mask4
+        k = self._masked(self.params["kernels"])
         if dy.shape[1:] == (1, 1):
             d = dy[:, 0, 0]
-            self.grads["kernels"] += np.einsum("j,ipq->jipq", d, self._x) * mask4
+            self.grads["kernels"] += self._masked(np.outer(d, self._x).reshape(k.shape))
             return np.einsum("j,jipq->ipq", d, k)
         dk = np.tensordot(dy, self._win, axes=([1, 2], [1, 2]))
-        self.grads["kernels"] += dk * mask4
+        self.grads["kernels"] += self._masked(dk)
         # full correlation of dy with flipped kernels
         ph, pw = self.kh - 1, self.kw - 1
         dy_pad = np.pad(dy, ((0, 0), (ph, ph), (pw, pw)))
@@ -186,22 +189,15 @@ def _pad_clamped(x: np.ndarray, r: int) -> np.ndarray:
     return x[:, ri[:, None], ci[None, :]]
 
 
-def _unpad_scatter(dxp: np.ndarray, shape: tuple, r: int) -> np.ndarray:
-    """Adjoint of _pad_clamped: accumulate padded-array gradients back."""
-    n1, n2, n3 = shape
-    ri = _clamped_indices(n2, r)
-    ci = _clamped_indices(n3, r)
-    dx = np.zeros(shape)
-    np.add.at(
-        dx,
-        (
-            np.arange(n1)[:, None, None],
-            ri[None, :, None],
-            ci[None, None, :],
-        ),
-        dxp,
-    )
-    return dx
+def _unpad_scatter(dxp: np.ndarray, r: int) -> np.ndarray:
+    """Adjoint of _pad_clamped over the last two axes: each padded
+    position's gradient is added to the position it copies, in the order
+    np.add.at would add them."""
+    lead, (h, w) = dxp.shape[:-2], dxp.shape[-2:]
+    n2, n3 = h - 2 * r, w - 2 * r
+    idx = _clamped_indices(n2, r)[:, None] * n3 + _clamped_indices(n3, r)
+    maps = np.arange(dxp.size // (h * w))[:, None, None] * (n2 * n3)
+    return np.bincount((maps + idx).ravel(), weights=dxp.ravel()).reshape(lead + (n2, n3))
 
 
 def _window_sum(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -209,14 +205,14 @@ def _window_sum(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.tensordot(win, w, axes=([3, 4], [0, 1]))
 
 
-def _window_sum_adjoint(d: np.ndarray, w: np.ndarray, padded_shape: tuple) -> np.ndarray:
-    """Adjoint of _window_sum for a per-map 2-D field d of shape (n1?, n2, n3)."""
-    out = np.zeros(padded_shape)
+def _window_sum_adjoint(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Adjoint of a 2-D window sum: d of shape (n2, n3) back onto the padded map."""
     side = w.shape[0]
-    n2, n3 = d.shape[-2], d.shape[-1]
+    n2, n3 = d.shape
+    out = np.zeros((n2 + side - 1, n3 + side - 1))
     for p in range(side):
         for q in range(side):
-            out[..., p : p + n2, q : q + n3] += d * w[p, q]
+            out[p : p + n2, q : q + n3] += d * w[p, q]
     return out
 
 
@@ -224,7 +220,8 @@ class SubtractiveNorm(Layer):
     """Local mean removal: v = x - weighted window mean across maps and space.
 
     The Gaussian window weights are additionally normalized by the map
-    count; borders use clamped (edge-replicated) windows.
+    count; borders use clamped (edge-replicated) windows. The mean's gradient
+    is the same for every map, so backward works in 2-D and broadcasts.
     """
 
     def __init__(self, side: int, sigma: float | None = None):
@@ -236,17 +233,13 @@ class SubtractiveNorm(Layer):
         self.r = side // 2
 
     def forward(self, x):
-        self._shape = x.shape
         xp = _pad_clamped(x, self.r)
         self._mu = _window_sum(xp, self.window).mean(axis=0)  # (n2, n3)
         return x - self._mu[None]
 
     def backward(self, dy):
-        n1, n2, n3 = self._shape
-        dmu = -dy.sum(axis=0)  # (n2, n3)
-        dxp = _window_sum_adjoint(dmu / n1, self.window, (n2 + 2 * self.r, n3 + 2 * self.r))
-        dxp = np.broadcast_to(dxp, (n1,) + dxp.shape).copy()
-        return dy + _unpad_scatter(dxp, self._shape, self.r)
+        dmp = _window_sum_adjoint(-dy.sum(axis=0) / dy.shape[0], self.window)
+        return dy + _unpad_scatter(dmp, self.r)[None]
 
     def out_shape(self, in_shape):
         return in_shape
@@ -257,7 +250,8 @@ class DivisiveNorm(Layer):
 
     sigma_jk = sqrt(window-weighted mean of v^2 across maps);
     y = v / max(mean(sigma), sigma_jk, epsilon), the mean taken over the
-    spatial positions of the stack.
+    spatial positions of the stack. Backward takes the window adjoint once
+    in 2-D, as that gradient is the same for every map.
     """
 
     def __init__(self, side: int, sigma: float | None = None, epsilon: float = 1e-8):
@@ -287,10 +281,7 @@ class DivisiveNorm(Layer):
         dsig = np.where(sig_branch, ddenom, 0.0)
         dsig += ddenom[m_branch].sum() / self._sig.size
         ds2 = np.where(self._sig > 0.0, dsig / (2.0 * self._sig * n1), 0.0)
-        dvp2 = _window_sum_adjoint(
-            np.broadcast_to(ds2, self._v.shape), self.window, self._vp.shape
-        )
-        dv += _unpad_scatter(2.0 * self._vp * dvp2, self._v.shape, self.r)
+        dv += _unpad_scatter(2.0 * self._vp * _window_sum_adjoint(ds2, self.window), self.r)
         return dv
 
     def out_shape(self, in_shape):

@@ -118,11 +118,14 @@ class EmpiricalCdf:
 
     points: tuple[tuple[float, float], ...]
 
-    def __call__(self, z: float) -> float:
-        zs = np.array([p[0] for p in self.points])
-        fr = np.array([p[1] for p in self.points])
-        i = np.searchsorted(zs, z, side="right")
-        return 0.0 if i == 0 else float(fr[i - 1])
+    def __post_init__(self):
+        # jump positions, and the CDF value left of the first jump and at each
+        object.__setattr__(self, "_zs", np.array([z for z, _ in self.points], dtype=float))
+        object.__setattr__(self, "_steps", np.array([0.0] + [f for _, f in self.points]))
+
+    def __call__(self, z):
+        """CDF value at z, or values at each entry of an array z."""
+        return self._steps[np.searchsorted(self._zs, z, side="right")]
 
 
 def empirical_cdf(zs: list[float]) -> EmpiricalCdf:
@@ -141,8 +144,8 @@ def empirical_cdf(zs: list[float]) -> EmpiricalCdf:
 
 def ks_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
     """Kolmogorov-Smirnov distance max |CDF_a - CDF_b| over all jump points."""
-    xs = sorted({p[0] for p in a.points} | {p[0] for p in b.points})
-    return max(abs(a(x) - b(x)) for x in xs)
+    xs = np.union1d(a._zs, b._zs)
+    return float(np.abs(a(xs) - b(xs)).max())
 
 
 def build_splits(

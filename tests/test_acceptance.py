@@ -335,7 +335,7 @@ def test_criterion_8_harness_bookkeeping(acceptance, tmp_path):
                 )
         net = small_net()
         net.initialize(0)
-        _, mismatch_text = harness.classify(net, samples)
+        _, mismatch_text, _ = harness.classify(net, samples)
         row_re = re.compile(
             r"^\d+\t\d+\t\d+\tcatalog: (galaxy|qso|star)\tconvnet: (galaxy|qso|star)$"
         )

@@ -3,10 +3,12 @@ train -> classify -> report, plus sample on a parsed catalog.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specnet import nn
 from specnet.cli import main
 from specnet.preprocess import read_pgm
 from specnet.sampler import parse_split_list
@@ -85,6 +87,70 @@ def test_train_classify_report(corpus, capsys):
     text = capsys.readouterr().out
     assert "best epoch:" in text
     assert "epoch   0" in text
+
+
+def _train_args(prep, out):
+    return [
+        "train", "--out", str(out), "--seed", "0",
+        "--set", "arch=lenet5", "--set", "input=28", "--set", "epochs=1",
+        "--set", f"imgs={prep / 'imgs'}", "--set", f"lists={prep / 'spectra_sets'}",
+    ]
+
+
+def _classify_args(prep, out):
+    return [
+        "classify", "--out", str(out), "--set", "arch=lenet5", "--set", "input=28",
+        "--set", f"imgs={prep / 'imgs'}", "--set", f"lists={prep / 'spectra_sets'}",
+    ]
+
+
+def test_classify_forwards_each_test_sample_once(corpus, tmp_path, monkeypatch, capsys):
+    prep = corpus / "prep"
+    out = tmp_path / "run"
+    assert main(_train_args(prep, out)) == 0
+    calls = []
+    forward = nn.Network.forward
+
+    def counting(self, x):
+        calls.append(1)
+        return forward(self, x)
+
+    monkeypatch.setattr(nn.Network, "forward", counting)
+    capsys.readouterr()
+    assert main(_classify_args(prep, out)) == 0
+    n_test = len(parse_split_list((prep / "spectra_sets" / "test").read_text()))
+    assert len(calls) == n_test
+    summary = capsys.readouterr().out
+    rate = (out / "classify_match").read_text().splitlines()[-1].split(": ")[1]
+    assert summary.startswith(f"classify: {n_test} objects, success rate {rate} (galaxy ")
+
+
+def test_classify_from_a_sibling_directory(corpus, tmp_path, monkeypatch, capsys):
+    prep = corpus / "prep"
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    assert main(_train_args(prep, "c/run")) == 0
+    report = json.loads(Path("c/run/train_report.json").read_text())
+    assert report["checkpoints"]["0"] == str(Path("net") / "net_epoch_000.ckpt")
+    monkeypatch.chdir(tmp_path / "b")
+    assert main(_classify_args(prep, "../a/c/run")) == 0
+    assert (tmp_path / "a" / "c" / "run" / "classify_match").exists()
+
+    # a report written with paths relative to the training cwd still loads
+    # from that cwd
+    monkeypatch.chdir(tmp_path / "a")
+    report["checkpoints"] = {k: f"c/run/{v}" for k, v in report["checkpoints"].items()}
+    Path("c/run/train_report.json").write_text(json.dumps(report))
+    assert main(_classify_args(prep, "c/run")) == 0
+
+    # a report without a checkpoint for its best epoch is an error naming it
+    report["checkpoints"].pop(str(report["best_epoch"]))
+    Path("c/run/train_report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(_classify_args(prep, "c/run")) == 1
+    err = capsys.readouterr().err
+    assert "train_report.json" in err and "best epoch" in err
 
 
 def test_train_is_deterministic(corpus):

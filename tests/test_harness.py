@@ -142,7 +142,7 @@ def test_train_input_validation():
 def test_classify_listing_formats():
     net = tiny_net()
     samples = make_samples(2)
-    match_text, mismatch_text = classify(net, samples)
+    match_text, mismatch_text, _ = classify(net, samples)
     for text in (match_text, mismatch_text):
         lines = text.splitlines()
         assert lines[0] == "#PLATE\tMJD\tFIBERID"

@@ -98,6 +98,22 @@ def test_ks_distance_against_brute_force():
     assert ks_distance(a, a) == 0.0
 
 
+def test_ks_distance_equals_max_over_jump_points():
+    rng = np.random.default_rng(4)
+    # rounding makes ties within each sample and shared jumps between them
+    a = empirical_cdf(list(np.round(rng.uniform(0, 1, 300), 2)))
+    b = empirical_cdf(list(np.round(rng.beta(2, 5, 200), 2)))
+
+    def step(cdf, x):
+        below = [frac for z, frac in cdf.points if z <= x]
+        return below[-1] if below else 0.0
+
+    jumps = {z for z, _ in a.points} | {z for z, _ in b.points}
+    brute = max(abs(step(a, x) - step(b, x)) for x in jumps)
+    assert ks_distance(a, b) == brute
+    assert ks_distance(b, a) == brute
+
+
 def test_build_splits_disjoint_and_sized():
     rng = np.random.default_rng(1)
     per_class = {
