@@ -23,13 +23,18 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _load_config(args) -> arch.RunConfig:
+def _load_config(args, config: Path | None = None) -> arch.RunConfig:
+    """Defaults, or the config file (--config, else `config`), then --set,
+    --seed and --out."""
     cfg = arch.RunConfig()
-    if args.config:
+    config = args.config or config
+    if config:
         try:
-            cfg = arch.parse_config(Path(args.config).read_text())
+            cfg = arch.parse_config(Path(config).read_text())
         except FileNotFoundError:
-            raise SystemExit(f"error: config file {args.config} not found")
+            raise SystemExit(f"error: config file {config} not found")
+        except arch.ConfigError as exc:
+            raise arch.ConfigError(f"{config}: {exc}") from None
     try:
         cfg = arch.apply_overrides(cfg, _parse_overrides(args.set))
     except (arch.ConfigError, ValueError) as exc:
@@ -200,6 +205,13 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _load_config(args)
+    source = args.config or "defaults"
+    run_conf = Path(cfg.out) / "run.conf"
+    if args.config is None and run_conf.is_file():
+        # the network the run dir's checkpoints were trained with; out stays
+        # this dir, as the out recorded in run.conf may be relative to another cwd
+        cfg = arch.apply_overrides(_load_config(args, run_conf), {"out": cfg.out})
+        source = run_conf
     net = arch.build_network(cfg)
     checkpoint = args.checkpoint
     if checkpoint is None:
@@ -216,6 +228,11 @@ def cmd_classify(args) -> int:
         nn.load_checkpoint(net, checkpoint)
     except FileNotFoundError:
         raise SystemExit(f"error: checkpoint {checkpoint} not found")
+    except ValueError as exc:
+        raise SystemExit(
+            f"error: {exc} (the {cfg.arch} {cfg.input_side}x{cfg.input_side} "
+            f"{cfg.pooling} network was built from {source} and --set)"
+        )
     test_set = _load_split(cfg, "test")
     match_text, mismatch_text, cm = harness.classify(net, test_set)
     out = Path(cfg.out)

@@ -4,11 +4,15 @@ parameter checkpoints.
 
 Feature stacks are float64 ndarrays of shape (maps, height, width). Layers
 cache their forward inputs; backward(dy) returns dx and accumulates
-parameter gradients into the layer's grad arrays.
+parameter gradients into the layer's grad arrays. Network.backward fills the
+grad arrays of every layer and returns nothing: the input gradient is never
+computed. sgd_step consumes the gradients it applies, so zero_grads must run
+before the next backward.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -51,7 +55,9 @@ class Layer:
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+        """Accumulate parameter gradients and return dx. With need_dx False
+        the caller discards dx, and a layer may skip it and return None."""
         raise NotImplementedError
 
     def out_shape(self, in_shape: tuple) -> tuple:
@@ -118,15 +124,17 @@ class Conv(Layer):
             y = np.tensordot(k, self._win, axes=([1, 2, 3], [0, 3, 4]))
         return y + self.params["biases"][:, None, None]
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         self.grads["biases"] += dy.sum(axis=(1, 2))
         k = self._masked(self.params["kernels"])
         if dy.shape[1:] == (1, 1):
             d = dy[:, 0, 0]
             self.grads["kernels"] += self._masked(np.outer(d, self._x).reshape(k.shape))
-            return np.einsum("j,jipq->ipq", d, k)
+            return np.einsum("j,jipq->ipq", d, k) if need_dx else None
         dk = np.tensordot(dy, self._win, axes=([1, 2], [1, 2]))
         self.grads["kernels"] += self._masked(dk)
+        if not need_dx:
+            return None
         # full correlation of dy with flipped kernels
         ph, pw = self.kh - 1, self.kw - 1
         dy_pad = np.pad(dy, ((0, 0), (ph, ph), (pw, pw)))
@@ -139,7 +147,7 @@ class Tanh(Layer):
         self._y = np.tanh(x)
         return self._y
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         return dy * (1.0 - self._y**2)
 
     def out_shape(self, in_shape):
@@ -167,7 +175,7 @@ class RectifiedSigmoid(Layer):
         self._s = g * self._t
         return np.abs(self._s)
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         sign = np.sign(self._s)
         g = self.params["gains"][:, None, None]
         self.grads["gains"] += (dy * sign * self._t).sum(axis=(1, 2))
@@ -183,10 +191,14 @@ def _clamped_indices(n: int, r: int) -> np.ndarray:
     return np.clip(np.arange(-r, n + r), 0, n - 1)
 
 
+def _pad_index(n2: int, n3: int, r: int) -> np.ndarray:
+    """Flat index into an (n2, n3) map of each position of its clamped pad."""
+    return _clamped_indices(n2, r)[:, None] * n3 + _clamped_indices(n3, r)
+
+
 def _pad_clamped(x: np.ndarray, r: int) -> np.ndarray:
-    ri = _clamped_indices(x.shape[1], r)
-    ci = _clamped_indices(x.shape[2], r)
-    return x[:, ri[:, None], ci[None, :]]
+    n1, n2, n3 = x.shape
+    return np.take(x.reshape(n1, -1), _pad_index(n2, n3, r), axis=1)
 
 
 def _unpad_scatter(dxp: np.ndarray, r: int) -> np.ndarray:
@@ -195,14 +207,31 @@ def _unpad_scatter(dxp: np.ndarray, r: int) -> np.ndarray:
     np.add.at would add them."""
     lead, (h, w) = dxp.shape[:-2], dxp.shape[-2:]
     n2, n3 = h - 2 * r, w - 2 * r
-    idx = _clamped_indices(n2, r)[:, None] * n3 + _clamped_indices(n3, r)
+    idx = _pad_index(n2, n3, r)
     maps = np.arange(dxp.size // (h * w))[:, None, None] * (n2 * n3)
     return np.bincount((maps + idx).ravel(), weights=dxp.ravel()).reshape(lead + (n2, n3))
 
 
-def _window_sum(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
-    win = sliding_window_view(xp, w.shape, axis=(1, 2))
-    return np.tensordot(win, w, axes=([3, 4], [0, 1]))
+@functools.lru_cache(maxsize=16)
+def _window_index(n2: int, n3: int, side: int) -> np.ndarray:
+    """Flat index into an (n2, n3) map of every clamped side x side window,
+    window by window in row-major order, offsets within a window row-major.
+    Read-only: every caller with the same sizes shares it."""
+    idx = sliding_window_view(_pad_index(n2, n3, side // 2), (side, side)).reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
+def _clamped_window_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum of every clamped (edge-replicated) side x side window of each map,
+    weighted by w; shape (n1, n2, n3). The gather lays each window out as
+    one row of a C-contiguous (n1 n2 n3, side^2) matrix, the matrix a
+    tensordot of the padded stack's sliding windows copies out, and makes
+    the same BLAS product with w, so the sums are bit for bit the same."""
+    n1, n2, n3 = x.shape
+    side = w.shape[0]
+    rows = np.take(x.reshape(n1, -1), _window_index(n2, n3, side), axis=1)
+    return np.dot(rows.reshape(-1, side * side), w.reshape(-1, 1)).reshape(n1, n2, n3)
 
 
 def _window_sum_adjoint(d: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -233,11 +262,10 @@ class SubtractiveNorm(Layer):
         self.r = side // 2
 
     def forward(self, x):
-        xp = _pad_clamped(x, self.r)
-        self._mu = _window_sum(xp, self.window).mean(axis=0)  # (n2, n3)
-        return x - self._mu[None]
+        mu = _clamped_window_sum(x, self.window).mean(axis=0)  # (n2, n3)
+        return x - mu[None]
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         dmp = _window_sum_adjoint(-dy.sum(axis=0) / dy.shape[0], self.window)
         return dy + _unpad_scatter(dmp, self.r)[None]
 
@@ -265,14 +293,14 @@ class DivisiveNorm(Layer):
 
     def forward(self, v):
         self._v = v
-        self._vp = _pad_clamped(v, self.r)
-        local2 = _window_sum(self._vp**2, self.window)  # (n1, n2, n3)
+        # the gather of v^2 holds the values of pad(v)^2
+        local2 = _clamped_window_sum(v**2, self.window)  # (n1, n2, n3)
         self._sig = np.sqrt(local2.mean(axis=0))  # (n2, n3)
         self._m = float(self._sig.mean())
         self._denom = np.maximum(np.maximum(self._sig, self._m), self.epsilon)
         return v / self._denom[None]
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         n1 = self._v.shape[0]
         dv = dy / self._denom[None]
         ddenom = -(dy * self._v).sum(axis=0) / self._denom**2
@@ -280,8 +308,12 @@ class DivisiveNorm(Layer):
         m_branch = (~sig_branch) & (self._m >= self.epsilon)
         dsig = np.where(sig_branch, ddenom, 0.0)
         dsig += ddenom[m_branch].sum() / self._sig.size
-        ds2 = np.where(self._sig > 0.0, dsig / (2.0 * self._sig * n1), 0.0)
-        dv += _unpad_scatter(2.0 * self._vp * _window_sum_adjoint(ds2, self.window), self.r)
+        # subgradient 0 where sigma is 0
+        ds2 = np.divide(
+            dsig, 2.0 * self._sig * n1, out=np.zeros_like(self._sig), where=self._sig > 0.0
+        )
+        vp = _pad_clamped(self._v, self.r)
+        dv += _unpad_scatter(2.0 * vp * _window_sum_adjoint(ds2, self.window), self.r)
         return dv
 
     def out_shape(self, in_shape):
@@ -317,7 +349,7 @@ class SubsPool(Layer):
         c = self.params["coeffs"][:, None, None]
         return self._avg * c + self.params["biases"][:, None, None]
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         self.grads["coeffs"] += (dy * self._avg).sum(axis=(1, 2))
         self.grads["biases"] += dy.sum(axis=(1, 2))
         s = self.size
@@ -368,7 +400,7 @@ class LpPool(Layer):
         self._y = np.power(t, 1.0 / self.p)
         return self._y
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         s = self.size
         n1, oh, ow = dy.shape
         if np.isinf(self.p):
@@ -394,7 +426,7 @@ class Flatten(Layer):
         self._shape = x.shape
         return x.reshape(-1)
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         return dy.reshape(self._shape)
 
     def out_shape(self, in_shape):
@@ -436,14 +468,14 @@ class Full(Layer):
             self._y = np.tanh(u)
         return self._y
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         if self.activation == "sigmoid":
             du = dy * self.beta * self._y * (1.0 - self._y)
         else:
             du = dy * (1.0 - self._y**2)
         self.grads["weights"] += np.outer(self._x, du)
         self.grads["thetas"] += -du
-        return self.params["weights"] @ du
+        return self.params["weights"] @ du if need_dx else None
 
 
 def mse_loss(y: np.ndarray, target: np.ndarray) -> float:
@@ -485,10 +517,12 @@ class Network:
             x = layer.forward(x)
         return x
 
-    def backward(self, dLdy: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, dLdy: np.ndarray) -> None:
+        """Accumulate dE/dW into every layer's grads; the input gradient,
+        which no caller uses, is not computed."""
+        for layer in reversed(self.layers[1:]):
             dLdy = layer.backward(dLdy)
-        return dLdy
+        self.layers[0].backward(dLdy, need_dx=False)
 
     def zero_grads(self) -> None:
         for layer in self.layers:
@@ -509,11 +543,16 @@ def effective_eta(eta0: float, decay: float, t: int) -> float:
 
 
 def sgd_step(net: Network, eta: float) -> None:
-    """W <- W - eta * dE/dW for every trainable parameter."""
+    """W <- W - eta * dE/dW for every trainable parameter.
+
+    Consumes the gradients: each grad array is scaled in place and holds
+    eta * dE/dW afterwards.
+    """
     for _, _, value, grad in net.parameters():
         if value.shape != grad.shape:
             raise ValueError("parameter/gradient shape mismatch")
-        value -= eta * grad
+        grad *= eta
+        value -= grad
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,30 @@ def test_classify_from_a_sibling_directory(corpus, tmp_path, monkeypatch, capsys
     assert "train_report.json" in err and "best epoch" in err
 
 
+def test_classify_reads_run_conf(corpus, tmp_path, capsys):
+    prep = corpus / "prep"
+    out = tmp_path / "run"
+    train = _train_args(prep, out)
+    train[train.index("epochs=1")] = "epochs=2"
+    assert main(train) == 0
+    # arch, input and the data paths all come from run.conf
+    assert main(["classify", "--out", str(out)]) == 0
+    match = (out / "classify_match").read_bytes()
+    assert main(_classify_args(prep, out)) == 0
+    assert (out / "classify_match").read_bytes() == match
+
+    # --set still wins over run.conf: a 60x60 network does not fit the checkpoint
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--out", str(out), "--set", "input=60"])
+    message = str(exc.value)
+    assert "run.conf" in message and "net_epoch_" in message and "60x60" in message
+
+    # a malformed run.conf is an error naming it
+    (out / "run.conf").write_text("arch = lenet5\nwidth = 3\n")
+    assert main(["classify", "--out", str(out)]) == 1
+    assert f"{out / 'run.conf'}: line 2: unknown key 'width'" in capsys.readouterr().err
+
+
 def test_train_is_deterministic(corpus):
     prep = corpus / "prep"
     reports = []

@@ -1,10 +1,11 @@
 """The normalization layers and Conv against per-map reference formulas.
 
 The normalization layers' backward passes work in 2-D where every map shares
-a gradient and scatter the pad adjoint with one bincount; Conv skips the
-mask multiply for full connection tables. The references below compute the
-same quantities map by map, the direct way, with np.add.at scatters, so any
-change of semantics shows as a disagreement.
+a gradient and scatter the pad adjoint with one bincount, and their forward
+window sums gather each clamped window into a row; Conv skips the mask
+multiply for full connection tables. The references below compute the same
+quantities map by map, the direct way, from an explicit pad, with np.add.at
+scatters, so any change of semantics shows as a disagreement.
 """
 
 import numpy as np
@@ -129,6 +130,29 @@ def test_divisive_norm_matches_per_map_reference(shape, scale):
     assert_close(y, y_ref)
     assert_close(dx * scale, dx_ref * scale)
     assert grads == {}
+
+
+def test_divisive_norm_zero_sigma_backward_raises_no_float_error():
+    rng = np.random.default_rng(5)
+    layer = nn.DivisiveNorm(5)
+    x = np.tanh(rng.standard_normal((6, 24, 24)))
+    x[:, :4, :4] = 0.0
+    with np.errstate(all="raise"):
+        layer.forward(x)
+        assert not (layer._sig > 0.0).all()
+        layer.backward(rng.standard_normal(x.shape))
+
+
+@pytest.mark.parametrize(
+    "shape", [(6, 56, 56), (16, 26, 26), (8, 56, 56), (24, 10, 10), (6, 24, 24), (16, 10, 10)]
+)
+@pytest.mark.parametrize("side", [5, 9])
+def test_clamped_window_sum_is_bitwise_the_padded_tensordot(shape, side):
+    rng = np.random.default_rng(shape[0] * 100 + side)
+    x = rng.standard_normal(shape)
+    w = nn.gaussian_window(side)
+    xp, _, _ = _pad_clamped(x, side // 2)
+    assert np.array_equal(nn._clamped_window_sum(x, w), _window_sum(xp, w))
 
 
 PARTIAL = [(i, j) for j in range(5) for i in range(6) if (i + j) % 3 != 0]

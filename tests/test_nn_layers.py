@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specnet import nn
+from specnet import arch, nn
 
 
 def rng_of(seed=0):
@@ -226,8 +226,48 @@ def test_sgd_step_moves_against_gradient():
     before = nn.mse_loss(net.forward(x), target)
     net.zero_grads()
     net.backward(nn.mse_loss_grad(net.forward(x), target))
+    grads = [g.copy() for _, _, _, g in net.parameters()]
+    values = [v.copy() for _, _, v, _ in net.parameters()]
     nn.sgd_step(net, 0.1)
     assert nn.mse_loss(net.forward(x), target) < before
+    # the step consumes the gradients: they hold eta * dE/dW afterwards
+    for (_, _, v, g), g0, v0 in zip(net.parameters(), grads, values):
+        assert np.array_equal(g, 0.1 * g0)
+        assert np.array_equal(v, v0 - 0.1 * g0)
+
+
+@pytest.mark.parametrize(
+    "name, side, pooling", [("lenet5", 60, "subs"), ("lenet5", 28, "subs"), ("lenet7", 60, "l2pool")]
+)
+def test_network_backward_skips_only_the_input_gradient(name, side, pooling, monkeypatch):
+    net = arch.build_network(arch.RunConfig(arch=name, input_side=side, pooling=pooling))
+    net.initialize(1)
+    rng = rng_of(4)
+    x = rng.uniform(-1.0, 1.0, net.input_shape)
+    dy = nn.mse_loss_grad(net.forward(x), np.array([0.0, 1.0, 0.0]))
+    # reference: every layer's backward in turn, the first one's dx included
+    net.zero_grads()
+    d = dy
+    for layer in reversed(net.layers):
+        d = layer.backward(d)
+    assert d.shape == net.input_shape
+    walked = [g.copy() for _, _, _, g in net.parameters()]
+
+    first = net.layers[0]
+    calls = []
+    backward = first.backward
+
+    def recording(dy, **kwargs):
+        result = backward(dy, **kwargs)
+        calls.append((kwargs, result))
+        return result
+
+    monkeypatch.setattr(first, "backward", recording)
+    net.zero_grads()
+    assert net.backward(dy) is None
+    assert calls == [({"need_dx": False}, None)]
+    for (_, _, _, g), ref in zip(net.parameters(), walked):
+        assert np.array_equal(g, ref)
 
 
 def test_network_validates_chain_eagerly():
