@@ -5,6 +5,7 @@ chain validation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -168,7 +169,27 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _check_readable(key: str, value) -> None:
+    """Raise a ConfigError unless parse_config reads `value` back equal."""
+    if isinstance(value, float) and math.isnan(value):
+        raise ConfigError(f"{key} = nan is not a number")
+    if isinstance(value, str) and (
+        value != value.strip()
+        or "#" in value
+        or len(value.splitlines()) > 1
+        or _VAR_RE.search(value)
+    ):
+        raise ConfigError(
+            f"{key} = {value!r} would not read back from a config file, which cuts "
+            "values at '#' and line breaks, strips them and expands ${name}"
+        )
+
+
 def serialize_config(cfg: RunConfig) -> str:
+    """'key = value' text that parse_config reads back to `cfg`; a value it
+    would not read back equal is a ConfigError naming the key."""
+    for key, value in vars(cfg).items():
+        _check_readable("input" if key == "input_side" else key, value)
     return (
         f"arch = {cfg.arch}\n"
         f"input = {cfg.input_side}\n"

@@ -5,6 +5,7 @@ sample, preprocess, synth, train, classify, report.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -138,15 +139,15 @@ def cmd_preprocess(args) -> int:
     imgs_dir = out / "imgs"
     sets_dir = out / "spectra_sets"
     sets_dir.mkdir(parents=True, exist_ok=True)
-    total = kept = 0
+    report = {}
     for split in sampler.SPLIT_NAMES:
         list_path = Path(args.lists) / split
         if not list_path.exists():
             raise SystemExit(f"error: split list {list_path} not found")
         rows = sampler.parse_split_list(list_path.read_text())
+        rejected = dict.fromkeys(preprocess.REJECTION_REASONS, 0)
         surviving = []
         for plate, mjd, fiberid, cls, z in rows:
-            total += 1
             spec_path = Path(args.spectra) / split / f"{plate}-{mjd}-{fiberid}.txt"
             if not spec_path.exists():
                 raise SystemExit(f"error: spectrum file {spec_path} not found")
@@ -154,20 +155,25 @@ def cmd_preprocess(args) -> int:
             try:
                 reduced = preprocess.reduce_spectrum(spec)
             except preprocess.ImpairedSpectrum:
+                rejected["ImpairedSpectrum"] += 1
                 continue
             verdict = preprocess.filter_impaired(reduced)
             if not verdict.passed:
+                rejected[verdict.reason] += 1
                 continue
             img = preprocess.spectrum_to_image(reduced, side)
             img_dir = imgs_dir / split / cls.label
             img_dir.mkdir(parents=True, exist_ok=True)
             preprocess.write_pgm(img, img_dir / f"{reduced.name}.pgm")
             surviving.append((plate, mjd, fiberid, cls, z))
-            kept += 1
         from .catalog import CatalogRecord
 
         recs = [CatalogRecord(p, m, f, 1, 0, c, z) for p, m, f, c, z in surviving]
         (sets_dir / split).write_text(sampler.format_split_list(recs))
+        report[split] = {"total": len(rows), "kept": len(surviving), "rejected": rejected}
+    (out / "preprocess_report.json").write_text(json.dumps(report, indent=2) + "\n")
+    kept = sum(r["kept"] for r in report.values())
+    total = sum(r["total"] for r in report.values())
     print(f"preprocess: {kept}/{total} spectra rasterized to {side}x{side} under {imgs_dir}")
     return 0
 
@@ -182,6 +188,8 @@ def _load_split(cfg: arch.RunConfig, split: str) -> list[harness.LabeledSample]:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    # a value run.conf cannot hold stops the run before its first epoch
+    run_conf = arch.serialize_config(cfg)
     net = arch.build_network(cfg)
     net.initialize(cfg.seed)
     train_set = _load_split(cfg, "train")
@@ -193,7 +201,7 @@ def cmd_train(args) -> int:
         report.checkpoints = {e: os.path.relpath(p, out) for e, p in report.checkpoints.items()}
     (out / "train_report.json").write_text(report.to_json())
     harness.emit_curves(report, out)
-    (out / "run.conf").write_text(arch.serialize_config(cfg))
+    (out / "run.conf").write_text(run_conf)
     best = report.rows[report.best_epoch]
     print(
         f"train: {cfg.arch} {cfg.input_side}x{cfg.input_side} {cfg.pooling}, "

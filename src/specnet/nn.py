@@ -588,34 +588,57 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(net: Network, path) -> None:
+    """Load a checkpoint written by save_checkpoint into `net`.
+
+    Every entry is parsed and checked before any parameter is assigned, so a
+    file that does not fit leaves `net` as it was. A malformed, truncated or
+    overlong file is a ValueError naming the file and the byte offset.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != _MAGIC:
+        data = memoryview(fh.read())
+    off = 0
+
+    def take(size: int, what: str) -> memoryview:
+        nonlocal off
+        if off + size > len(data):
+            raise ValueError(
+                f"{path}: file ends at byte {len(data)}, inside {what} "
+                f"(bytes {off}-{off + size - 1})"
+            )
+        chunk = data[off : off + size]
+        off += size
+        return chunk
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    if take(8, "the magic") != _MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic")
-    off = 8
-    (n_layers,) = struct.unpack_from("<I", data, off)
-    off += 4
+    (n_layers,) = unpack("<I", "the layer count")
     if n_layers != len(net.layers):
         raise ValueError(f"{path}: checkpoint has {n_layers} layers, network has {len(net.layers)}")
-    (n_entries,) = struct.unpack_from("<I", data, off)
-    off += 4
+    (n_entries,) = unpack("<I", "the parameter count")
     expected = list(net.parameters())
     if n_entries != len(expected):
         raise ValueError(f"{path}: parameter count mismatch")
+    loaded = []
     for li, name, value, _ in expected:
-        got_li, name_len = struct.unpack_from("<IH", data, off)
-        off += 6
-        got_name = data[off : off + name_len].decode("ascii")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", data, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, off)
-        off += 4 * ndim
+        entry = off
+        got_li, name_len = unpack("<IH", f"the header of layer {li} param {name}")
+        try:
+            got_name = bytes(take(name_len, "a parameter name")).decode("ascii")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: bad parameter name at byte {entry + 6}") from None
+        (ndim,) = unpack("<B", "a parameter rank")
+        shape = unpack(f"<{ndim}I", "a parameter shape")
         if (got_li, got_name, shape) != (li, name, value.shape):
             raise ValueError(
                 f"{path}: expected layer {li} param {name}{value.shape}, "
-                f"found layer {got_li} param {got_name}{shape}"
+                f"found layer {got_li} param {got_name}{shape} at byte {entry}"
             )
-        count = int(np.prod(shape)) if ndim else 1
-        value[...] = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += 8 * count
+        payload = take(8 * value.size, f"the values of layer {li} param {name}")
+        loaded.append((value, np.frombuffer(payload, dtype="<f8").reshape(shape)))
+    if off != len(data):
+        raise ValueError(f"{path}: {len(data) - off} trailing bytes after byte {off}")
+    for value, new in loaded:
+        value[...] = new

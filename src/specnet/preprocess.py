@@ -4,6 +4,7 @@ rasterization, 8-bit normalization and binary PGM image I/O.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,6 +105,11 @@ def reduce_spectrum(
     return Spectrum(s.ident, grid, s.flux[nearest], s.label, s.z)
 
 
+#: why a spectrum is dropped: reduce_spectrum raises ImpairedSpectrum, and
+#: filter_impaired's verdict names the others
+REJECTION_REASONS = ("ImpairedSpectrum", "NonFinite", "ZeroFraction", "ZeroRun")
+
+
 @dataclass(frozen=True)
 class FilterResult:
     passed: bool
@@ -202,25 +208,11 @@ def read_pgm(path: str | Path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).copy()
 
 
-def doppler_shift(lambda_emit: float, z: float) -> float:
-    """Observed wavelength of a line emitted at lambda_emit for redshift z."""
-    if z <= -1.0:
-        raise ValueError("z must be > -1")
-    if lambda_emit <= 0:
-        raise ValueError("lambda_emit must be positive")
-    return lambda_emit * (1.0 + z)
-
-
-def redshift_of(lambda_obsv: float, lambda_emit: float) -> float:
-    return lambda_obsv / lambda_emit - 1.0
-
-
 def write_spectrum(s: Spectrum, path: str | Path) -> None:
     """Two-column text file (log10 wavelength, flux), '#' comments."""
-    lines = ["#LOGLAM\tFLUX"]
-    for ll, fx in zip(s.loglam, s.flux):
-        lines.append(f"{ll:.5f}\t{fx:.8e}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = np.column_stack((s.loglam, s.flux)).ravel().tolist()
+    rows = ("%.5f\t%.8e\n" * len(s.loglam)) % tuple(values)
+    Path(path).write_text("#LOGLAM\tFLUX\n" + rows)
 
 
 def read_spectrum(
@@ -229,14 +221,59 @@ def read_spectrum(
     label: ObjectClass | None = None,
     z: float | None = None,
 ) -> Spectrum:
+    """Read a two-column text spectrum. Blank lines and lines starting with
+    '#' are skipped; every other line holds exactly two numbers. A line with
+    another number of fields is a ValueError naming the file and the line."""
     path = Path(path)
     if ident is None:
         parts = path.stem.split("-")
         if len(parts) != 3:
             raise ValueError(f"{path}: cannot infer PLATE-MJD-FIBERID from name")
         ident = (int(parts[0]), int(parts[1]), int(parts[2]))
+    text = path.read_text()
+    columns = _parse_tab_rows(text)
+    if columns is None:
+        columns = _parse_lines(path, text)
+    return Spectrum(ident, *columns, label, z)
+
+
+#: line breaks of str.splitlines other than newline (read_text folds '\r'
+#: into newlines); the line-by-line parser takes text that holds one
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+
+
+def _parse_tab_rows(text: str) -> np.ndarray | None:
+    """Columns of the layout write_spectrum makes: leading '#' lines, then
+    tab-separated pairs. None for any other text.
+
+    np.loadtxt splits fields on the tab only, strips whitespace around them
+    and parses each with the parser float() uses, less its '_' and non-ASCII
+    digit rules. So the line parser reads any text that this one takes to
+    the same rows and float64 bits, given ASCII text whose only line break
+    is the newline.
+    """
+    if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
+        return None
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if start == 0:
+            return None
+    body = text[start:]
+    if not body or body.isspace():
+        return None
+    try:
+        values = np.loadtxt(io.StringIO(body), delimiter="\t", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != 2:
+        return None
+    return np.ascontiguousarray(values.T)
+
+
+def _parse_lines(path: Path, text: str) -> tuple[np.ndarray, np.ndarray]:
     loglam, flux = [], []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -245,4 +282,4 @@ def read_spectrum(
             raise ValueError(f"{path} line {lineno}: expected 2 columns")
         loglam.append(float(fields[0]))
         flux.append(float(fields[1]))
-    return Spectrum(ident, np.array(loglam), np.array(flux), label, z)
+    return np.array(loglam), np.array(flux)

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specnet import nn
 from specnet.arch import (
+    ARCHITECTURES,
+    POOLINGS,
     ConfigError,
     RunConfig,
     apply_overrides,
@@ -119,6 +122,51 @@ def test_parse_config_defaults_and_round_trip():
     assert parse_config(serialize_config(cfg)) == cfg
     full = parse_config(CONFIG)
     assert parse_config(serialize_config(full)) == full
+
+
+def test_serialize_config_rejects_values_that_do_not_read_back():
+    for key, value in [
+        ("imgs", "data#1/imgs"),
+        ("lists", "${root}/sets"),
+        ("out", "run "),
+        ("out", "a\nseed = 3"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{key} = "):
+            serialize_config(RunConfig(**{key: value}))
+    with pytest.raises(ConfigError, match="^eta0 = nan"):
+        serialize_config(RunConfig(eta0=float("nan")))
+
+
+# text that the parser cuts, strips, splits or substitutes, often enough to
+# reach every rejection
+_CONFIG_TEXT = st.text(
+    st.sampled_from("ab/_.-=$#{} \t\n\x0c\x85\u2028") | st.characters(),
+    max_size=12,
+) | st.sampled_from(["${out}", "${root}/x", "a#b", " a", "a "])
+
+
+@given(
+    st.builds(
+        RunConfig,
+        arch=st.sampled_from(ARCHITECTURES),
+        input_side=st.integers(),
+        pooling=st.sampled_from(POOLINGS),
+        eta0=st.floats(),
+        decay=st.floats(),
+        epochs=st.integers(),
+        seed=st.integers(),
+        imgs=_CONFIG_TEXT,
+        lists=_CONFIG_TEXT,
+        out=_CONFIG_TEXT,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_serialize_config_raises_or_round_trips(cfg):
+    try:
+        text = serialize_config(cfg)
+    except ConfigError:
+        return
+    assert parse_config(text) == cfg
 
 
 @pytest.mark.parametrize(

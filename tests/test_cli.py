@@ -10,7 +10,7 @@ import pytest
 
 from specnet import nn
 from specnet.cli import main
-from specnet.preprocess import read_pgm
+from specnet.preprocess import Spectrum, read_pgm, read_spectrum, write_spectrum
 from specnet.sampler import parse_split_list
 
 
@@ -51,6 +51,45 @@ def test_preprocess_outputs(corpus):
     assert img.shape == (28, 28)
     rows = parse_split_list((prep / "spectra_sets" / "valid").read_text())
     assert len(rows) == 9
+
+
+def _impair(spec: Spectrum, kind: str) -> Spectrum:
+    """`spec` damaged so that exactly `kind` drops it."""
+    n, mid = len(spec.flux), len(spec.flux) // 2
+    loglam, flux = spec.loglam, spec.flux.copy()
+    if kind == "ImpairedSpectrum":  # a coverage gap of 40 native steps
+        keep = np.r_[0:mid, mid + 40 : n]
+        loglam, flux = loglam[keep], flux[keep]
+    elif kind == "NonFinite":
+        flux[mid] = np.nan
+    elif kind == "ZeroFraction":
+        flux[::4] = 0.0
+    else:  # ZeroRun
+        flux[mid : mid + n // 16] = 0.0
+    return Spectrum(spec.ident, loglam, flux)
+
+
+def test_preprocess_report_counts_rejections(tmp_path):
+    synth, prep = tmp_path / "synth", tmp_path / "prep"
+    assert main([
+        "synth", "--out", str(synth), "--seed", "5",
+        "--set", "train=2", "--set", "valid=1", "--set", "test=1",
+    ]) == 0
+    kinds = ["ImpairedSpectrum", "NonFinite", "ZeroFraction", "ZeroRun"]
+    for kind, path in zip(kinds, sorted((synth / "spectra" / "train").glob("*.txt"))):
+        write_spectrum(_impair(read_spectrum(path), kind), path)
+    assert main([
+        "preprocess", "--spectra", str(synth / "spectra"), "--lists", str(synth / "spectra_sets"),
+        "--side", "28", "--out", str(prep),
+    ]) == 0
+    report = json.loads((prep / "preprocess_report.json").read_text())
+    assert report == {
+        "train": {"total": 6, "kept": 2, "rejected": dict.fromkeys(kinds, 1)},
+        "valid": {"total": 3, "kept": 3, "rejected": dict.fromkeys(kinds, 0)},
+        "test": {"total": 3, "kept": 3, "rejected": dict.fromkeys(kinds, 0)},
+    }
+    for split, counts in report.items():
+        assert counts["kept"] == len(list((prep / "imgs" / split).rglob("*.pgm")))
 
 
 def test_train_classify_report(corpus, capsys):
@@ -175,6 +214,27 @@ def test_classify_reads_run_conf(corpus, tmp_path, capsys):
     (out / "run.conf").write_text("arch = lenet5\nwidth = 3\n")
     assert main(["classify", "--out", str(out)]) == 1
     assert f"{out / 'run.conf'}: line 2: unknown key 'width'" in capsys.readouterr().err
+
+
+def test_classify_rejects_a_truncated_checkpoint(corpus, tmp_path):
+    prep = corpus / "prep"
+    out = tmp_path / "run"
+    assert main(_train_args(prep, out)) == 0
+    checkpoint = out / "net" / "net_epoch_001.ckpt"
+    checkpoint.write_bytes(checkpoint.read_bytes()[:30])
+    with pytest.raises(SystemExit) as exc:
+        main(_classify_args(prep, out) + ["--checkpoint", str(checkpoint)])
+    message = str(exc.value)
+    assert message.startswith(f"error: {checkpoint}: file ends at byte 30")
+
+
+def test_train_stops_before_training_on_a_value_run_conf_cannot_hold(corpus, tmp_path, capsys):
+    prep = corpus / "prep"
+    out = tmp_path / "run"
+    args = _train_args(prep, out) + ["--set", "lists=data#1/sets"]
+    assert main(args) == 1
+    assert "lists = 'data#1/sets' would not read back" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_is_deterministic(corpus):

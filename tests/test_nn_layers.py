@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,34 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         nn.load_checkpoint(net, path)
+
+
+def test_malformed_checkpoint_leaves_network_unchanged(tmp_path):
+    net = arch.build_lenet5(28)
+    net.initialize(0)
+    path = tmp_path / "net.ckpt"
+    nn.save_checkpoint(net, path)
+    data = path.read_bytes()
+    other = arch.build_lenet5(28)
+    other.initialize(1)
+    before = [v.copy() for _, _, v, _ in other.parameters()]
+    first_payload = 8 + 4 + 4 + 6 + len("kernels") + 1 + 4 * 4
+    damaged = [data[:cut] for cut in (0, 8, 12, 30, first_payload + 100, len(data) // 2, len(data) - 1)]
+    damaged.append(data + b"\x00")
+    name = data.index(b"kernels")
+    damaged.append(data[:name] + b"\xffernels" + data[name + 7 :])
+    for bad in damaged:
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*byte") as exc:
+            nn.load_checkpoint(other, path)
+        assert not isinstance(exc.value, UnicodeDecodeError)
+        for old, (_, _, v, _) in zip(before, other.parameters()):
+            assert np.array_equal(old, v)
+    # the undamaged file still loads
+    path.write_bytes(data)
+    nn.load_checkpoint(other, path)
+    for (_, _, a, _), (_, _, b, _) in zip(net.parameters(), other.parameters()):
+        assert np.array_equal(a, b)
 
 
 def test_train_config_validation():

@@ -11,14 +11,12 @@ from specnet.preprocess import (
     Spectrum,
     SpectralImage,
     bin_spectrum,
-    doppler_shift,
     filter_impaired,
     flatten,
     normalize_8bit,
     rasterize,
     read_pgm,
     read_spectrum,
-    redshift_of,
     reduce_spectrum,
     reduction_grid,
     spectrum_to_image,
@@ -176,15 +174,6 @@ def test_read_pgm_rejects_garbage(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n..")
     with pytest.raises(ValueError, match="pixel bytes"):
         read_pgm(path)
-
-
-def test_doppler_shift_and_inverse():
-    assert doppler_shift(1216.0, 2.5) == pytest.approx(4256.0)
-    assert redshift_of(4256.0, 1216.0) == pytest.approx(2.5)
-    with pytest.raises(ValueError):
-        doppler_shift(1216.0, -1.0)
-    with pytest.raises(ValueError):
-        doppler_shift(0.0, 1.0)
 
 
 def test_spectrum_text_round_trip(tmp_path):
