@@ -11,7 +11,11 @@ import sys
 from pathlib import Path
 
 from . import arch, harness, nn, preprocess, sampler, synthgen
-from .catalog import ObjectClass, filter_good, parse_catalog
+from .catalog import CatalogRecord, ObjectClass, filter_good, parse_catalog, serialize_catalog
+
+# the --set keys of synth and sample, with their defaults
+SYNTH_KEYS = {"train": 100, "valid": 30, "test": 50, "zmin": 0.0, "zmax": 1.5, "noise": 0.05}
+SAMPLE_KEYS = {"train": 100, "valid": 10, "test": 50, "intervals": 60}
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, str]:
@@ -22,6 +26,11 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
         key, value = pair.split("=", 1)
         overrides[key.strip()] = value.strip()
     return overrides
+
+
+def _set_keys(args, defaults: dict) -> dict:
+    """`defaults` with the --set values, each cast to its default's type."""
+    return {**defaults, **arch.cast_keys(_parse_overrides(args.set), defaults)}
 
 
 def _load_config(args, config: Path | None = None) -> arch.RunConfig:
@@ -36,10 +45,7 @@ def _load_config(args, config: Path | None = None) -> arch.RunConfig:
             raise SystemExit(f"error: config file {config} not found")
         except arch.ConfigError as exc:
             raise arch.ConfigError(f"{config}: {exc}") from None
-    try:
-        cfg = arch.apply_overrides(cfg, _parse_overrides(args.set))
-    except (arch.ConfigError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}")
+    cfg = arch.apply_overrides(cfg, _parse_overrides(args.set))
     if args.seed is not None:
         cfg = arch.apply_overrides(cfg, {"seed": str(args.seed)})
     if args.out is not None:
@@ -48,24 +54,16 @@ def _load_config(args, config: Path | None = None) -> arch.RunConfig:
 
 
 def cmd_synth(args) -> int:
-    overrides = _parse_overrides(args.set)
-    counts = {
-        "train": int(overrides.get("train", 100)),
-        "valid": int(overrides.get("valid", 30)),
-        "test": int(overrides.get("test", 50)),
-    }
-    z_range = (float(overrides.get("zmin", 0.0)), float(overrides.get("zmax", 1.5)))
-    noise = float(overrides.get("noise", 0.05))
+    keys = _set_keys(args, SYNTH_KEYS)
+    counts = {split: keys[split] for split in sampler.SPLIT_NAMES}
     seed = args.seed if args.seed is not None else 0
     out = Path(args.out or "synth")
-    data = synthgen.synth_dataset(counts, z_range, noise, seed)
+    data = synthgen.synth_dataset(counts, (keys["zmin"], keys["zmax"]), keys["noise"], seed)
     for split, spectra in data.spectra.items():
         split_dir = out / "spectra" / split
         split_dir.mkdir(parents=True, exist_ok=True)
         for spec in spectra:
             preprocess.write_spectrum(spec, split_dir / f"{spec.name}.txt")
-    from .catalog import serialize_catalog
-
     (out / "catalog.txt").write_text(serialize_catalog(data.records))
     sets_dir = out / "spectra_sets"
     sets_dir.mkdir(parents=True, exist_ok=True)
@@ -86,20 +84,14 @@ def cmd_sample(args) -> int:
     good = filter_good(records)
     if not good:
         raise SystemExit("error: no good records (specboss=1, zwarning=0) in catalog")
-    overrides = _parse_overrides(args.set)
-    targets = {
-        "train": int(overrides.get("train", 100)),
-        "valid": int(overrides.get("valid", 10)),
-        "test": int(overrides.get("test", 50)),
-    }
-    n_intervals = int(overrides.get("intervals", 60))
+    keys = _set_keys(args, SAMPLE_KEYS)
     seed = args.seed if args.seed is not None else 0
     out = Path(args.out or "sample")
     per_class = {c: [r for r in good if r.obj_class == c] for c in ObjectClass}
     split = sampler.build_splits(
         per_class,
-        {name: {c: targets[name] for c in ObjectClass} for name in sampler.SPLIT_NAMES},
-        n_intervals=n_intervals,
+        {name: {c: keys[name] for c in ObjectClass} for name in sampler.SPLIT_NAMES},
+        n_intervals=keys["intervals"],
         seed=seed,
     )
     sets_dir = out / "spectra_sets"
@@ -166,8 +158,6 @@ def cmd_preprocess(args) -> int:
             img_dir.mkdir(parents=True, exist_ok=True)
             preprocess.write_pgm(img, img_dir / f"{reduced.name}.pgm")
             surviving.append((plate, mjd, fiberid, cls, z))
-        from .catalog import CatalogRecord
-
         recs = [CatalogRecord(p, m, f, 1, 0, c, z) for p, m, f, c, z in surviving]
         (sets_dir / split).write_text(sampler.format_split_list(recs))
         report[split] = {"total": len(rows), "kept": len(surviving), "rejected": rejected}
@@ -178,7 +168,7 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _load_split(cfg: arch.RunConfig, split: str) -> list[harness.LabeledSample]:
+def _load_split(cfg: arch.RunConfig, split: str) -> list[preprocess.SpectralImage]:
     list_path = Path(cfg.lists) / split
     if not list_path.exists():
         raise SystemExit(f"error: split list {list_path} not found")
@@ -194,9 +184,11 @@ def cmd_train(args) -> int:
     net.initialize(cfg.seed)
     train_set = _load_split(cfg, "train")
     valid_set = _load_split(cfg, "valid")
-    tcfg = nn.TrainConfig(cfg.eta0, cfg.decay, cfg.epochs, cfg.seed)
     out = Path(cfg.out)
-    report = harness.train(net, train_set, valid_set, tcfg, out_dir=out / "net")
+    report = harness.train(
+        net, train_set, valid_set,
+        eta0=cfg.eta0, decay=cfg.decay, epochs=cfg.epochs, seed=cfg.seed, out_dir=out / "net",
+    )
     if not out.is_absolute():  # relative to the run dir, so classify works from any cwd
         report.checkpoints = {e: os.path.relpath(p, out) for e, p in report.checkpoints.items()}
     (out / "train_report.json").write_text(report.to_json())
@@ -280,42 +272,41 @@ def build_parser() -> argparse.ArgumentParser:
         "spectrum rasterization and ConvNet training.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--config": dict(help="key=value config file"),
+        "--seed": dict(type=int, help="override the seed"),
+        "--out": dict(help="output directory"),
+        "--set": dict(action="append", metavar="KEY=VALUE", help="set a key (see README)"),
+    }
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, help="override the seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
+    def command(name, func, summary, *names):
+        p = sub.add_parser(name, help=summary)
+        for option in names:
+            p.add_argument(option, **options[option])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic labeled spectrum corpus")
-    common(p)
-    p.set_defaults(func=cmd_synth)
+    command("synth", cmd_synth, "generate a synthetic labeled spectrum corpus",
+            "--seed", "--out", "--set")
 
-    p = sub.add_parser("sample", help="build stratified split lists from a catalog")
-    common(p)
+    p = command("sample", cmd_sample, "build stratified split lists from a catalog",
+                "--seed", "--out", "--set")
     p.add_argument("--catalog", help="catalog text file")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("preprocess", help="reduce, filter and rasterize spectra to PGM images")
-    common(p)
+    p = command("preprocess", cmd_preprocess, "reduce, filter and rasterize spectra to PGM images",
+                "--out")
     p.add_argument("--spectra", help="directory with <split>/<id>.txt spectra")
     p.add_argument("--lists", help="directory with train/valid/test split lists")
     p.add_argument("--side", type=int, default=60, help="image side length (default 60)")
-    p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", help="train a network and emit report, curves, checkpoints")
-    common(p)
-    p.set_defaults(func=cmd_train)
+    run = ("--config", "--seed", "--out", "--set")
+    command("train", cmd_train, "train a network and emit report, curves, checkpoints", *run)
 
-    p = sub.add_parser("classify", help="classify the test split with a trained network")
-    common(p)
+    p = command("classify", cmd_classify, "classify the test split with a trained network", *run)
     p.add_argument("--checkpoint", help="checkpoint file (default: best epoch of the out dir)")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("report", help="print a human-readable training report summary")
-    common(p)
+    p = command("report", cmd_report, "print a human-readable training report summary")
     p.add_argument("--report", help="train_report.json produced by the train subcommand")
-    p.set_defaults(func=cmd_report)
 
     return parser
 

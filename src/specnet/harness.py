@@ -6,6 +6,7 @@ training-curve emission.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,22 +18,15 @@ from .catalog import ObjectClass
 from .preprocess import SpectralImage, read_pgm
 
 
-@dataclass
-class LabeledSample:
-    ident: tuple[int, int, int]
-    image: SpectralImage
-    label: ObjectClass
+def _net_input(image: SpectralImage) -> np.ndarray:
+    # 8-bit pixels mapped into the nonlinearity's working range [-1, 1]
+    return (image.pixels.astype(float) / 127.5 - 1.0)[None, :, :]
 
-    @property
-    def target(self) -> np.ndarray:
-        t = np.zeros(3)
-        t[int(self.label)] = 1.0
-        return t
 
-    @property
-    def net_input(self) -> np.ndarray:
-        # 8-bit pixels mapped into the nonlinearity's working range [-1, 1]
-        return (self.image.pixels.astype(float) / 127.5 - 1.0)[None, :, :]
+def _target(label: ObjectClass) -> np.ndarray:
+    t = np.zeros(3)
+    t[int(label)] = 1.0
+    return t
 
 
 @dataclass
@@ -113,13 +107,16 @@ class ConfusionMatrix:
         return tuple(rates)
 
 
-def predict(net: nn.Network, sample: LabeledSample) -> ObjectClass:
-    """Argmax of the three outputs; ties break toward the lowest class index."""
-    y = net.forward(sample.net_input)
+def predict(net: nn.Network, image: SpectralImage) -> ObjectClass:
+    """Argmax of the three outputs; ties break toward the lowest class index.
+    A non-finite output is a ValueError naming the sample."""
+    y = net.forward(_net_input(image))
+    if not np.isfinite(y).all():
+        raise ValueError(f"sample {image.ident}: network output {y} is not finite")
     return ObjectClass(int(np.argmax(y)))
 
 
-def evaluate(net: nn.Network, samples: list[LabeledSample]) -> ConfusionMatrix:
+def evaluate(net: nn.Network, samples: list[SpectralImage]) -> ConfusionMatrix:
     counts = np.zeros((3, 3), dtype=int)
     for s in samples:
         counts[int(s.label), int(predict(net, s))] += 1
@@ -128,26 +125,35 @@ def evaluate(net: nn.Network, samples: list[LabeledSample]) -> ConfusionMatrix:
 
 def train(
     net: nn.Network,
-    train_set: list[LabeledSample],
-    valid_set: list[LabeledSample],
-    cfg: nn.TrainConfig,
+    train_set: list[SpectralImage],
+    valid_set: list[SpectralImage],
+    *,
+    eta0: float,
+    decay: float,
+    epochs: int,
+    seed: int,
     out_dir: str | Path | None = None,
     stop_at_val_rate: float | None = None,
 ) -> TrainReport:
-    """Per-pattern SGD for cfg.epochs epochs with per-epoch validation.
+    """Per-pattern SGD for `epochs` epochs with per-epoch validation.
 
     Epoch t (1-based) runs at eta_t = eta0 / (1 + decay*(t-1)); epoch 0 in
     the report is the untrained baseline. A checkpoint is saved every epoch
-    when out_dir is given. Deterministic under cfg.seed.
+    when out_dir is given. Deterministic under `seed`. A non-finite loss
+    stops the run with a ValueError naming the epoch and the sample.
     """
+    if eta0 < 0 or decay < 0 or epochs < 0:
+        raise ValueError("eta0, decay and epochs must be non-negative")
     if not train_set:
         raise ValueError("empty training set")
     for s in train_set + valid_set:
-        if (1, s.image.side, s.image.side) != net.input_shape:
+        if (1, s.side, s.side) != net.input_shape:
             raise ValueError(
-                f"sample {s.ident} side {s.image.side} does not match "
+                f"sample {s.ident} side {s.side} does not match "
                 f"network input {net.input_shape}"
             )
+        if s.label is None:
+            raise ValueError(f"sample {s.ident} has no label")
     started = time.monotonic()
     report = TrainReport()
     out_path = Path(out_dir) if out_dir is not None else None
@@ -162,19 +168,24 @@ def train(
             nn.save_checkpoint(net, ckpt)
             report.checkpoints[epoch] = str(ckpt)
 
-    record(0, nn.effective_eta(cfg.eta0, cfg.decay, 0), float("nan"))
-    for epoch in range(1, cfg.epochs + 1):
-        eta = nn.effective_eta(cfg.eta0, cfg.decay, epoch - 1)
+    record(0, nn.effective_eta(eta0, decay, 0), float("nan"))
+    for epoch in range(1, epochs + 1):
+        eta = nn.effective_eta(eta0, decay, epoch - 1)
         rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(epoch,)))
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(epoch,)))
         )
         order = rng.permutation(len(train_set))
         loss_sum = 0.0
         for idx in order:
             sample = train_set[idx]
-            y = net.forward(sample.net_input)
-            target = sample.target
-            loss_sum += nn.mse_loss(y, target)
+            y = net.forward(_net_input(sample))
+            target = _target(sample.label)
+            loss = nn.mse_loss(y, target)
+            if not math.isfinite(loss):
+                raise ValueError(
+                    f"epoch {epoch}: loss {loss} on sample {sample.ident} is not finite"
+                )
+            loss_sum += loss
             net.zero_grads()
             net.backward(nn.mse_loss_grad(y, target))
             nn.sgd_step(net, eta)
@@ -188,7 +199,7 @@ def train(
     return report
 
 
-def classify(net: nn.Network, samples: list[LabeledSample]) -> tuple[str, str, ConfusionMatrix]:
+def classify(net: nn.Network, samples: list[SpectralImage]) -> tuple[str, str, ConfusionMatrix]:
     """Match and mismatch listings, and the confusion matrix of those predictions.
 
     Mismatch rows: 'PLATE\\tMJD\\tFIBERID\\tcatalog: <class>\\tconvnet: <class>';
@@ -233,16 +244,13 @@ def load_dataset(
     imgs_dir: str | Path,
     split: str,
     rows: list[tuple[int, int, int, ObjectClass, float]],
-) -> list[LabeledSample]:
-    """Load PGM images for the split-list rows from imgs/<split>/<class>/."""
+) -> list[SpectralImage]:
+    """Load the labeled PGM images of the split-list rows from imgs/<split>/<class>/."""
     base = Path(imgs_dir) / split
     samples = []
     for plate, mjd, fiberid, cls, _z in rows:
         path = base / cls.label / f"{plate}-{mjd}-{fiberid}.pgm"
         if not path.exists():
             raise FileNotFoundError(f"missing image {path}")
-        pixels = read_pgm(path)
-        samples.append(
-            LabeledSample((plate, mjd, fiberid), SpectralImage((plate, mjd, fiberid), pixels, cls), cls)
-        )
+        samples.append(SpectralImage((plate, mjd, fiberid), read_pgm(path), cls))
     return samples

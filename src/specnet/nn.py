@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -498,11 +497,16 @@ class Network:
     def __init__(self, layers: list[Layer], input_shape: tuple):
         self.layers = layers
         self.input_shape = tuple(input_shape)
-        # validates the whole dimension chain eagerly
+        # validates the whole dimension chain eagerly, naming the layer that breaks it
         shape = self.input_shape
         self.shapes = [shape]
-        for layer in layers:
-            shape = layer.out_shape(shape)
+        for i, layer in enumerate(layers):
+            try:
+                shape = layer.out_shape(shape)
+            except ValueError as exc:
+                raise ValueError(
+                    f"layer {i} ({type(layer).__name__}): {exc} (input was {shape})"
+                ) from None
             self.shapes.append(shape)
 
     def initialize(self, seed: int) -> None:
@@ -533,9 +537,6 @@ class Network:
             for name in layer.params:
                 yield li, name, layer.params[name], layer.grads[name]
 
-    def n_parameters(self) -> int:
-        return sum(v.size for _, _, v, _ in self.parameters())
-
 
 def effective_eta(eta0: float, decay: float, t: int) -> float:
     """Inverse-time decay eta_t = eta0 / (1 + d * t)."""
@@ -553,18 +554,6 @@ def sgd_step(net: Network, eta: float) -> None:
             raise ValueError("parameter/gradient shape mismatch")
         grad *= eta
         value -= grad
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    eta0: float = 0.05
-    decay: float = 0.1
-    epochs: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.eta0 < 0 or self.decay < 0 or self.epochs < 0:
-            raise ValueError("eta0, decay and epochs must be non-negative")
 
 
 _MAGIC = b"SPECNET1"

@@ -280,6 +280,10 @@ def _parse_lines(path: Path, text: str) -> tuple[np.ndarray, np.ndarray]:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"{path} line {lineno}: expected 2 columns")
-        loglam.append(float(fields[0]))
-        flux.append(float(fields[1]))
+        try:
+            x, y = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise ValueError(f"{path} line {lineno}: non-numeric field in {line!r}") from None
+        loglam.append(x)
+        flux.append(y)
     return np.array(loglam), np.array(flux)

@@ -45,11 +45,15 @@ class DatasetSplit:
 def interval_quotas(target_total: int, n_intervals: int) -> list[int]:
     """Largest-remainder apportionment of target_total over equal intervals.
 
-    Equal shares mean equal remainders; the extra units go to the lowest
-    interval indices, so per-interval quotas differ by at most 1.
+    Equal shares mean equal remainders; the extra units are spread evenly
+    over the range (interval i gets one when (i+1)*extra//n > i*extra//n),
+    so per-interval quotas differ by at most 1.
     """
     base, extra = divmod(target_total, n_intervals)
-    return [base + (1 if i < extra else 0) for i in range(n_intervals)]
+    return [
+        base + (i + 1) * extra // n_intervals - i * extra // n_intervals
+        for i in range(n_intervals)
+    ]
 
 
 def _interval_index(z: float, plan: StratifiedPlan) -> int:

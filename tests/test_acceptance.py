@@ -47,19 +47,18 @@ def verdict(acceptance, criterion: int, description: str):
 
 
 def images_for(spectra, side):
-    return [
-        harness.LabeledSample(s.ident, preprocess.spectrum_to_image(s, side), s.label)
-        for s in spectra
-    ]
+    return [preprocess.spectrum_to_image(s, side) for s in spectra]
 
 
 def train_and_test_rate(seed, side, sets, eta0, decay, epochs):
     """Train LeNet-5 and evaluate the best-epoch checkpoint on the test split."""
     net = arch.build_lenet5(side, pooling="subs")
     net.initialize(seed)
-    cfg = nn.TrainConfig(eta0, decay, epochs, seed)
     with tempfile.TemporaryDirectory() as td:
-        report = harness.train(net, sets["train"], sets["valid"], cfg, out_dir=td)
+        report = harness.train(
+            net, sets["train"], sets["valid"],
+            eta0=eta0, decay=decay, epochs=epochs, seed=seed, out_dir=td,
+        )
         nn.load_checkpoint(net, report.checkpoints[report.best_epoch])
         return harness.evaluate(net, sets["test"]).overall_rate
 
@@ -135,9 +134,9 @@ def test_criterion_3_desk_scale_learning(acceptance):
         sets = {split: images_for(specs, 60) for split, specs in data.spectra.items()}
         net = arch.build_lenet5(60, pooling="subs")
         net.initialize(42)
-        cfg = nn.TrainConfig(eta0=0.05, decay=0.1, epochs=50, seed=42)
         report = harness.train(
-            net, sets["train"], sets["valid"], cfg, stop_at_val_rate=0.90
+            net, sets["train"], sets["valid"],
+            eta0=0.05, decay=0.1, epochs=50, seed=42, stop_at_val_rate=0.90,
         )
         best = report.rows[report.best_epoch].val_rate
         elapsed = time.monotonic() - started
@@ -194,10 +193,10 @@ def test_criterion_5_decay_stability(acceptance):
             )
             net = arch.build_lenet5(28, pooling="subs")
             net.initialize(seed)
-            cfg = nn.TrainConfig(eta0=0.3, decay=decay, epochs=100, seed=seed)
             report = harness.train(
                 net, images_for(data.spectra["train"], 28),
-                images_for(data.spectra["valid"], 28), cfg,
+                images_for(data.spectra["valid"], 28),
+                eta0=0.3, decay=decay, epochs=100, seed=seed,
             )
             tail = [r.val_rate for r in report.rows if r.epoch > 80]
             return max(tail) - min(tail)
@@ -330,9 +329,7 @@ def test_criterion_8_harness_bookkeeping(acceptance, tmp_path):
                     85 * int(cls), 85 * int(cls) + 80, (8, 8)
                 ).astype(np.uint8)
                 ident = (100 + int(cls), 55000, k + 1)
-                samples.append(
-                    harness.LabeledSample(ident, preprocess.SpectralImage(ident, pixels), cls)
-                )
+                samples.append(preprocess.SpectralImage(ident, pixels, cls))
         net = small_net()
         net.initialize(0)
         _, mismatch_text, _ = harness.classify(net, samples)
@@ -342,8 +339,9 @@ def test_criterion_8_harness_bookkeeping(acceptance, tmp_path):
         body = [l for l in mismatch_text.splitlines() if not l.startswith("#")]
         assert all(row_re.match(line) for line in body), body[:3]
 
-        cfg = nn.TrainConfig(eta0=0.2, decay=0.1, epochs=4, seed=0)
-        report = harness.train(net, samples, samples, cfg, out_dir=tmp_path)
+        report = harness.train(
+            net, samples, samples, eta0=0.2, decay=0.1, epochs=4, seed=0, out_dir=tmp_path
+        )
         for row in report.rows:
             fresh = small_net()
             fresh.initialize(99)

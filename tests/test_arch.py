@@ -11,10 +11,8 @@ from specnet.arch import (
     build_lenet5,
     build_lenet7,
     build_network,
-    lenet5_layers,
     parse_config,
     serialize_config,
-    validate_chain,
 )
 
 
@@ -40,11 +38,15 @@ def test_lenet7_dimension_chain():
     assert net.shapes[-1] == (3,)
 
 
+def n_parameters(net):
+    return sum(v.size for _, _, v, _ in net.parameters())
+
+
 def test_parameter_counts():
-    assert build_lenet5(60).n_parameters() == 326043
-    assert build_lenet7(60).n_parameters() == 65499
+    assert n_parameters(build_lenet5(60)) == 326043
+    assert n_parameters(build_lenet7(60)) == 65499
     # the 28x28 variant only shrinks the final convolution
-    n60, n28 = build_lenet5(60).n_parameters(), build_lenet5(28).n_parameters()
+    n60, n28 = n_parameters(build_lenet5(60)), n_parameters(build_lenet5(28))
     assert n60 - n28 == 16 * 120 * (13 * 13 - 5 * 5)
 
 
@@ -62,19 +64,23 @@ def test_unsupported_input_sides_rejected():
         build_lenet7(28)
 
 
-def test_validate_chain_ok_and_diagnostics():
-    assert validate_chain(lenet5_layers(60), (1, 60, 60)) == "ok"
-    msg = validate_chain(lenet5_layers(60), (1, 59, 59))
-    assert msg != "ok"
-    assert "layer" in msg and "SubsPool" in msg and "55x55" in msg
-    # a chain ending before 1x1 maps is flagged at the classifier boundary
-    msg = validate_chain([nn.Conv(1, 2, 3, 3)], (1, 10, 10))
-    assert "classifier boundary" in msg
+def test_network_names_the_layer_that_breaks_the_chain():
+    with pytest.raises(ValueError) as exc:
+        nn.Network(build_lenet5(60).layers, (1, 59, 59))
+    msg = str(exc.value)
+    assert msg.startswith("layer 4 (SubsPool): ")
+    assert "55x55" in msg and msg.endswith("(input was (6, 55, 55))")
+    # maps left larger than 1x1 at the classifier are rejected by Full
+    # maps left larger than 1x1 at the classifier are rejected by Full:
+    # 9x9 and 2x2 here
+    for layers, side in ((build_lenet5(28).layers, 60), (build_lenet7(60).layers, 68)):
+        with pytest.raises(ValueError, match=r"^layer 13 \(Full\): expected input length"):
+            nn.Network(layers, (1, side, side))
 
 
 def test_build_network_dispatch():
     assert build_network(RunConfig(arch="lenet5", input_side=28)).shapes[0] == (1, 28, 28)
-    assert build_network(RunConfig(arch="lenet7")).n_parameters() == 65499
+    assert n_parameters(build_network(RunConfig(arch="lenet7"))) == 65499
 
 
 def test_run_config_validation():
@@ -192,3 +198,5 @@ def test_apply_overrides():
     assert cfg.input_side == 28 and cfg.eta0 == 0.5 and cfg.out == "elsewhere"
     with pytest.raises(ConfigError, match="unknown override"):
         apply_overrides(cfg, {"root": "/x"})
+    with pytest.raises(ConfigError, match="^invalid value 'x' for key 'epochs'$"):
+        apply_overrides(cfg, {"epochs": "x"})

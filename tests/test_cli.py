@@ -309,3 +309,44 @@ def test_cli_error_paths(tmp_path, capsys):
         main(["no-such-command"])
     with pytest.raises(SystemExit):
         main(["synth", "--set", "malformed"])
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["synth", "--set", "train=x"], "invalid value 'x' for key 'train'"),
+        (["synth", "--set", "zmax=high"], "invalid value 'high' for key 'zmax'"),
+        (["synth", "--set", "intervals=4"], "unknown key 'intervals'"),
+        (["train", "--set", "epochs=x"], "invalid value 'x' for key 'epochs'"),
+        (["train", "--set", "width=3"], "unknown override key 'width'"),
+        (["sample", "--set", "trian=5"], "unknown key 'trian'"),
+        (["sample", "--set", "intervals=1.5"], "invalid value '1.5' for key 'intervals'"),
+    ],
+)
+def test_set_keys_are_checked_and_typed(corpus, tmp_path, capsys, args, message):
+    if args[0] == "sample":
+        args = args + ["--catalog", str(corpus / "synth" / "catalog.txt")]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["synth", "--config", "run.conf"],
+        ["sample", "--config", "run.conf"],
+        ["preprocess", "--config", "run.conf"],
+        ["preprocess", "--seed", "1"],
+        ["preprocess", "--set", "side=28"],
+        ["report", "--config", "run.conf"],
+        ["report", "--seed", "1"],
+        ["report", "--set", "epochs=1"],
+        ["report", "--out", "run"],
+    ],
+)
+def test_options_a_command_does_not_read_are_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

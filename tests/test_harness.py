@@ -5,7 +5,6 @@ from specnet import harness, nn
 from specnet.catalog import ObjectClass
 from specnet.harness import (
     ConfusionMatrix,
-    LabeledSample,
     TrainReport,
     classify,
     emit_curves,
@@ -43,15 +42,15 @@ def make_samples(n_per_class, side=8, seed=0):
         for k in range(n_per_class):
             pixels = rng.integers(lo, lo + 80, size=(side, side), dtype=np.uint8)
             ident = (1000 + int(cls), 55000, k + 1)
-            samples.append(LabeledSample(ident, SpectralImage(ident, pixels), cls))
+            samples.append(SpectralImage(ident, pixels, cls))
     return samples
 
 
-def test_labeled_sample_target_and_scaling():
+def test_target_and_net_input_scaling():
     s = make_samples(1)[1]
     assert s.label is ObjectClass.QSO
-    assert np.array_equal(s.target, [0.0, 1.0, 0.0])
-    x = s.net_input
+    assert np.array_equal(harness._target(s.label), [0.0, 1.0, 0.0])
+    x = harness._net_input(s)
     assert x.shape == (1, 8, 8)
     assert x.min() >= -1.0 and x.max() <= 1.0
 
@@ -87,8 +86,8 @@ def test_train_learns_separable_data(tmp_path):
     net = tiny_net()
     train_set = make_samples(12, seed=1)
     valid_set = make_samples(4, seed=2)
-    cfg = nn.TrainConfig(eta0=0.2, decay=0.1, epochs=8, seed=0)
-    report = train(net, train_set, valid_set, cfg, out_dir=tmp_path)
+    report = train(net, train_set, valid_set,
+                   eta0=0.2, decay=0.1, epochs=8, seed=0, out_dir=tmp_path)
     assert report.rows[0].epoch == 0 and np.isnan(report.rows[0].train_loss)
     assert report.rows[report.best_epoch].val_rate > report.rows[0].val_rate
     assert report.rows[report.best_epoch].val_rate >= 0.9
@@ -100,11 +99,11 @@ def test_train_learns_separable_data(tmp_path):
 
 
 def test_train_deterministic():
-    cfg = nn.TrainConfig(eta0=0.2, decay=0.1, epochs=3, seed=5)
     reports = []
     for _ in range(2):
         net = tiny_net(seed=5)
-        reports.append(train(net, make_samples(6, seed=1), make_samples(3, seed=2), cfg))
+        reports.append(train(net, make_samples(6, seed=1), make_samples(3, seed=2),
+                             eta0=0.2, decay=0.1, epochs=3, seed=5))
     a, b = reports
     assert [r.val_rate for r in a.rows] == [r.val_rate for r in b.rows]
     assert [r.train_loss for r in a.rows[1:]] == [r.train_loss for r in b.rows[1:]]
@@ -112,9 +111,8 @@ def test_train_deterministic():
 
 def test_train_early_stop():
     net = tiny_net()
-    cfg = nn.TrainConfig(eta0=0.2, decay=0.1, epochs=50, seed=0)
-    report = train(net, make_samples(12, seed=1), make_samples(4, seed=2), cfg,
-                   stop_at_val_rate=0.9)
+    report = train(net, make_samples(12, seed=1), make_samples(4, seed=2),
+                   eta0=0.2, decay=0.1, epochs=50, seed=0, stop_at_val_rate=0.9)
     assert report.rows[-1].val_rate >= 0.9
     assert len(report.rows) < 51
 
@@ -130,13 +128,53 @@ def test_train_best_epoch_earliest_tie():
     assert best.epoch == 2
 
 
+CFG = dict(eta0=0.05, decay=0.1, epochs=2, seed=0)
+
+
 def test_train_input_validation():
     net = tiny_net()
     with pytest.raises(ValueError, match="empty training set"):
-        train(net, [], [], nn.TrainConfig())
+        train(net, [], [], **CFG)
     wrong = make_samples(1, side=10)
     with pytest.raises(ValueError, match="does not match"):
-        train(net, wrong, [], nn.TrainConfig())
+        train(net, wrong, [], **CFG)
+    unlabeled = [SpectralImage((1, 2, 3), make_samples(1)[0].pixels)]
+    with pytest.raises(ValueError, match=r"sample \(1, 2, 3\) has no label"):
+        train(net, unlabeled, [], **CFG)
+
+
+def test_train_rejects_negative_hyperparameters():
+    samples = make_samples(1)
+    for bad in ({"eta0": -0.1}, {"decay": -0.1}, {"epochs": -1}):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            train(tiny_net(), samples, [], **{**CFG, **bad})
+    train(tiny_net(), samples, [], **{**CFG, "decay": 0.0})
+
+
+def _poisoned_net():
+    net = tiny_net()
+    net.layers[-1].params["weights"][0, 0] = np.nan
+    return net
+
+
+def test_predict_rejects_a_non_finite_output():
+    s = make_samples(1)[2]
+    # np.argmax alone would read the NaN outputs as class 0, galaxy
+    message = r"^sample \(1002, 55000, 1\): network output .* is not finite$"
+    with pytest.raises(ValueError, match=message):
+        predict(_poisoned_net(), s)
+    with pytest.raises(ValueError, match="not finite"):
+        evaluate(_poisoned_net(), [s])
+
+
+def test_train_stops_on_a_non_finite_loss(tmp_path):
+    samples = make_samples(2)
+    message = r"^epoch 1: loss nan on sample \(\d+, 55000, \d\) is not finite$"
+    with pytest.raises(ValueError, match=message):
+        train(_poisoned_net(), samples, [], **CFG, out_dir=tmp_path)
+    # the validation pass of epoch 0 already sees the non-finite output
+    with pytest.raises(ValueError, match="network output"):
+        train(_poisoned_net(), samples, samples, **CFG)
 
 
 def test_classify_listing_formats():
@@ -161,8 +199,8 @@ def test_classify_listing_formats():
 
 def test_train_report_json_round_trip(tmp_path):
     net = tiny_net()
-    cfg = nn.TrainConfig(eta0=0.2, decay=0.1, epochs=2, seed=0)
-    report = train(net, make_samples(4), make_samples(2), cfg, out_dir=tmp_path)
+    report = train(net, make_samples(4), make_samples(2),
+                   eta0=0.2, decay=0.1, epochs=2, seed=0, out_dir=tmp_path)
     back = TrainReport.from_json(report.to_json())
     assert back.best_epoch == report.best_epoch
     assert back.checkpoints == report.checkpoints
@@ -172,8 +210,8 @@ def test_train_report_json_round_trip(tmp_path):
 def test_checkpoint_restore_reproduces_val_rate(tmp_path):
     net = tiny_net()
     valid_set = make_samples(4, seed=2)
-    cfg = nn.TrainConfig(eta0=0.2, decay=0.1, epochs=4, seed=0)
-    report = train(net, make_samples(8, seed=1), valid_set, cfg, out_dir=tmp_path)
+    report = train(net, make_samples(8, seed=1), valid_set,
+                   eta0=0.2, decay=0.1, epochs=4, seed=0, out_dir=tmp_path)
     for row in report.rows:
         fresh = tiny_net(seed=77)  # different init; checkpoint must overwrite all
         nn.load_checkpoint(fresh, report.checkpoints[row.epoch])
@@ -182,8 +220,8 @@ def test_checkpoint_restore_reproduces_val_rate(tmp_path):
 
 def test_emit_curves_round_trip(tmp_path):
     net = tiny_net()
-    cfg = nn.TrainConfig(eta0=0.2, decay=0.1, epochs=2, seed=0)
-    report = train(net, make_samples(4), make_samples(2), cfg)
+    report = train(net, make_samples(4), make_samples(2),
+                   eta0=0.2, decay=0.1, epochs=2, seed=0)
     rate_path, loss_path = emit_curves(report, tmp_path)
     rates = np.loadtxt(rate_path)
     assert rates.shape == (3, 2)
@@ -199,12 +237,12 @@ def test_load_dataset_reads_layout(tmp_path):
         d = tmp_path / "train" / s.label.label
         d.mkdir(parents=True, exist_ok=True)
         p, m, f = s.ident
-        write_pgm(s.image, d / f"{p}-{m}-{f}.pgm")
+        write_pgm(s, d / f"{p}-{m}-{f}.pgm")
         rows.append((p, m, f, s.label, 0.5))
     loaded = load_dataset(tmp_path, "train", rows)
     assert len(loaded) == len(samples)
     for got, want in zip(loaded, samples):
-        assert got.ident == want.ident
-        assert np.array_equal(got.image.pixels, want.image.pixels)
+        assert got.ident == want.ident and got.label is want.label
+        assert np.array_equal(got.pixels, want.pixels)
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path, "train", [(9, 9, 9, ObjectClass.STAR, 0.1)])

@@ -361,11 +361,3 @@ def test_malformed_checkpoint_leaves_network_unchanged(tmp_path):
     nn.load_checkpoint(other, path)
     for (_, _, a, _), (_, _, b, _) in zip(net.parameters(), other.parameters()):
         assert np.array_equal(a, b)
-
-
-def test_train_config_validation():
-    nn.TrainConfig(0.1, 0.0, 5, 0)
-    with pytest.raises(ValueError):
-        nn.TrainConfig(-0.1, 0.0, 5, 0)
-    with pytest.raises(ValueError):
-        nn.TrainConfig(0.1, -1.0, 5, 0)

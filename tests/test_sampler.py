@@ -30,8 +30,13 @@ def test_interval_quotas_partition(total, n):
     quotas = interval_quotas(total, n)
     assert sum(quotas) == total
     assert max(quotas) - min(quotas) <= 1
-    # extras go to the lowest indices
-    assert quotas == sorted(quotas, reverse=True)
+    # the extras are spread evenly: every run of k consecutive intervals
+    # holds floor or ceil of k * extra / n of them
+    extra = total % n
+    extras = np.array(quotas) - total // n
+    for k in range(1, n + 1):
+        runs = np.convolve(extras, np.ones(k, dtype=int), mode="valid")
+        assert runs.min() >= k * extra // n and runs.max() <= -(-k * extra // n)
 
 
 def test_stratified_select_flat_quota():

@@ -33,8 +33,12 @@ def reference_read_spectrum(path: Path) -> Spectrum:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"{path} line {lineno}: expected 2 columns")
-        loglam.append(float(fields[0]))
-        flux.append(float(fields[1]))
+        try:
+            loglam.append(float(fields[0]))
+            flux.append(float(fields[1]))
+        except ValueError:
+            # float()'s own message names neither the file nor the line
+            raise ValueError(f"{path} line {lineno}: non-numeric field in {line!r}") from None
     return Spectrum(IDENT, np.array(loglam), np.array(flux))
 
 
@@ -190,3 +194,7 @@ def test_read_spectrum_errors_name_the_file_and_line(tmp_path):
     path.write_text("#LOGLAM\tFLUX\n3.6\t1.0\n3.6001\t1.0\t7\n")
     with pytest.raises(ValueError, match=f"^{path} line 3: expected 2 columns$"):
         read_spectrum(path)
+    path.write_text("#LOGLAM\tFLUX\n3.6\t1.0\n3.6001\tabc\n")
+    with pytest.raises(ValueError) as exc:
+        read_spectrum(path)
+    assert str(exc.value) == f"{path} line 3: non-numeric field in '3.6001\\tabc'"
